@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use optique_relational::{Database, Value};
 use optique_siemens::{FleetConfig, StreamConfig};
-use optique_stream::{Stream, WCache};
+use optique_stream::{Stream, WCache, WindowKey};
 
 fn source() -> (Database, usize) {
     let mut db = Database::new();
@@ -41,9 +41,10 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("wcache", queries), &queries, |b, _| {
             b.iter(|| {
                 let cache = WCache::new();
+                let window = WindowKey::new("S_Msmt", 600_000, 610_000);
                 let mut total = 0usize;
                 for _ in 0..queries {
-                    let rows = cache.get_or_build("S_Msmt", 10, || {
+                    let rows = cache.get_or_build(&window, || {
                         let stream = Stream::new("S_Msmt", (*table).clone(), 0).unwrap();
                         stream.slice(600_000, 610_000).to_vec()
                     });

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use optique_relational::{Database, PaneStore, PlanFragment, SelectStatement, SqlError, Table};
+use optique_relational::{Database, PaneStore, PlanFragment, PreparedFragment, SqlError, Table};
 use optique_telemetry::SpanRecord;
 use parking_lot::Mutex;
 
@@ -40,22 +40,22 @@ pub struct PlanCache {
 
 #[derive(Default)]
 struct PlanEntries {
-    map: HashMap<String, Arc<SelectStatement>>,
+    map: HashMap<String, Arc<PreparedFragment>>,
     order: VecDeque<String>,
 }
 
 impl PlanCache {
-    /// The prepared statement for `wire`, parsing (and memoizing) on first
+    /// The prepared fragment for `wire`, parsing (and memoizing) on first
     /// sight. The flag reports whether this call hit the cache — callers
     /// that account per *round* sum these flags instead of diffing the
     /// cumulative counters, which concurrent rounds would cross-pollute.
-    pub fn get_or_prepare(&self, wire: &str) -> Result<(Arc<SelectStatement>, bool), SqlError> {
+    pub fn get_or_prepare(&self, wire: &str) -> Result<(Arc<PreparedFragment>, bool), SqlError> {
         if let Some(hit) = self.inner.lock().map.get(wire) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(hit), true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let statement = Arc::new(PlanFragment::decode(wire)?.statement()?);
+        let statement = Arc::new(PlanFragment::decode(wire)?.prepare()?);
         let mut inner = self.inner.lock();
         if let Some(existing) = inner.map.get(wire) {
             // A racing worker thread prepared it first; share that one
@@ -397,7 +397,7 @@ impl Gateway {
                         } else {
                             misses += 1;
                         }
-                        optique_relational::execute_prepared(&statement, db)
+                        statement.execute(db)
                     })()
                     .map(|t| {
                         rows = t.len() as u64;

@@ -20,11 +20,9 @@ use crate::value::Value;
 
 /// Executes a bound (optionally optimized) logical plan.
 pub fn execute(plan: &LogicalPlan, db: &Database) -> Result<Table, SqlError> {
-    let rows = run(plan, db)?;
-    Ok(Table {
-        schema: plan.schema().clone(),
-        rows,
-    })
+    let mut table = Table::empty(plan.schema().clone());
+    table.rows = run(plan, db)?;
+    Ok(table)
 }
 
 /// Convenience: parse, plan, optimize, execute.
@@ -325,11 +323,9 @@ fn key_columns<'a>(
 
 /// Builds a one-column table — handy in tests and benches.
 pub fn column_table(name: &str, column: &str, ty: ColumnType, values: Vec<Value>) -> Table {
-    let schema = Schema::qualified(name, vec![Column::new(column, ty)]);
-    Table {
-        schema,
-        rows: values.into_iter().map(|v| vec![v]).collect(),
-    }
+    let mut table = Table::empty(Schema::qualified(name, vec![Column::new(column, ty)]));
+    table.rows = values.into_iter().map(|v| vec![v]).collect();
+    table
 }
 
 #[cfg(test)]

@@ -49,7 +49,8 @@ pub use exec::execute;
 pub use expr::Expr;
 pub use fragment::{
     execute_prepared, referenced_tables, shard_compatibility, shard_of, split_novelty_wire,
-    PartitionSpec, PlanFragment, ResultBatch, SemiJoin, ShardCompatibility, WindowSlice,
+    PartitionSpec, PlanFragment, PreparedFragment, ResultBatch, SemiJoin, ShardCompatibility,
+    WindowSlice,
 };
 pub use novelty::{view_at, NoveltyOverlay, NoveltyScope};
 pub use panes::{
@@ -59,5 +60,5 @@ pub use parser::{parse_select, SelectStatement};
 pub use plan::LogicalPlan;
 pub use schema::{Column, ColumnType, Schema};
 pub use stats::{advise_partition_keys, StatsCatalog, TableStats};
-pub use table::{Database, Table};
+pub use table::{Database, Table, TimeIndex};
 pub use value::Value;

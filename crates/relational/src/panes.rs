@@ -325,6 +325,12 @@ struct GridState {
     panes: BTreeMap<i64, BTreeMap<Value, AggAcc>>,
     /// range_ms → cached additive window state.
     windows: BTreeMap<i64, SlidingWindow>,
+    /// Panes below this index are neither kept nor folded: the widest
+    /// window probed so far, slid to the latest close, starts here.
+    /// Probes reaching further back answer store-lessly.
+    floor: i64,
+    /// The widest pane run probed so far.
+    widest: i64,
 }
 
 /// One worker's shard-local pane store. Keyed by pane grid
@@ -354,6 +360,13 @@ impl PaneStore {
         )
     }
 
+    /// Panes currently retained across all grids.
+    #[cfg(test)]
+    fn pane_count(&self) -> usize {
+        let grids = self.grids.lock().expect("pane store lock");
+        grids.values().map(|g| g.panes.len()).sum()
+    }
+
     /// Answers a pane-combine probe from shard-local panes, maintaining
     /// them incrementally. Returns the answer table plus whether the probe
     /// was a warm hit.
@@ -374,9 +387,11 @@ impl PaneStore {
         let state = match entry {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let state = e.into_mut();
-                if state.epoch != epoch && log_len < state.overlay_seen {
-                    // Pinned at an epoch older than the cached state: the
-                    // cache never rewinds — answer store-lessly.
+                state.widest = state.widest.max(p_close - p_open);
+                if (state.epoch != epoch && log_len < state.overlay_seen) || p_open < state.floor {
+                    // Pinned at an epoch older than the cached state, or
+                    // reaching below the retained panes: the cache never
+                    // rewinds — answer store-lessly.
                     drop(grids);
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     return Ok((compute_window_aggregates(probe, db)?, false));
@@ -394,10 +409,12 @@ impl PaneStore {
                     overlay_seen: 0,
                     panes: BTreeMap::new(),
                     windows: BTreeMap::new(),
+                    floor: p_open,
+                    widest: p_close - p_open,
                 };
                 let base = db.table(&probe.stream)?;
                 for row in &base.rows {
-                    fold_row(&mut state.panes, probe, &cols, row)?;
+                    fold_row(&mut state.panes, state.floor, probe, &cols, row)?;
                 }
                 e.insert(state)
             }
@@ -421,7 +438,7 @@ impl PaneStore {
                     })
                     .collect();
                 for row in touched {
-                    fold_row(&mut state.panes, probe, &cols, row)?;
+                    fold_row(&mut state.panes, state.floor, probe, &cols, row)?;
                 }
             }
             state.overlay_seen = log_len;
@@ -515,12 +532,23 @@ impl PaneStore {
             }
         }
         let table = groups_to_table(&out, cols.key_type, probe.needs_extrema)?;
+
+        // Retire the panes no forward probe of a range seen so far can
+        // reach, and the cached windows that still count them.
+        let floor = p_close - state.widest;
+        if floor > state.floor {
+            state.panes = state.panes.split_off(&floor);
+            state.windows.retain(|_, w| w.p_open >= floor);
+            state.floor = floor;
+        }
         Ok((table, warm))
     }
 }
 
+/// Folds one row into its pane, unless the pane lies below `floor`.
 fn fold_row(
     panes: &mut BTreeMap<i64, BTreeMap<Value, AggAcc>>,
+    floor: i64,
     probe: &PaneProbe,
     cols: &ProbeCols,
     row: &[Value],
@@ -528,8 +556,12 @@ fn fold_row(
     let Some(ts) = row[cols.ts].as_i64() else {
         return Ok(());
     };
+    let pane = probe.pane_of(ts);
+    if pane < floor {
+        return Ok(());
+    }
     panes
-        .entry(probe.pane_of(ts))
+        .entry(pane)
         .or_default()
         .entry(row[cols.key].clone())
         .or_default()
@@ -738,6 +770,41 @@ mod tests {
             last = Some(by_key(&t));
         }
         assert_eq!(last.unwrap()[&0].0, 100);
+    }
+
+    /// Two ranges on one grid: panes behind the widest window slide out
+    /// of the store, every forward probe still matches the reference, and
+    /// a probe reaching below the retained panes answers store-lessly.
+    #[test]
+    fn grids_retire_panes_behind_the_widest_window() {
+        let db = stream_db((0..2000).map(|i| (i, i % 3, (i % 11) as f64)).collect());
+        let store = PaneStore::new();
+        for k in 5..20 {
+            let close = k * 100;
+            for range in [500, 200] {
+                let p = probe(close - range, close, 100);
+                let (t, hit) = store.combine(&p, &db).unwrap();
+                assert_eq!(
+                    by_key(&t),
+                    by_key(&compute_window_aggregates(&p, &db).unwrap())
+                );
+                assert!(hit || k == 5, "forward probes stay warm (close={close})");
+            }
+            // Panes 0..=19 hold data; those behind the 5-pane window that
+            // closed at pane k are gone.
+            let kept = store.pane_count();
+            assert!(
+                kept <= 25 - k as usize,
+                "{kept} panes kept at close {close}"
+            );
+        }
+        let behind = probe(1000, 1500, 100);
+        let (t, hit) = store.combine(&behind, &db).unwrap();
+        assert!(!hit, "below the retained panes");
+        assert_eq!(
+            by_key(&t),
+            by_key(&compute_window_aggregates(&behind, &db).unwrap())
+        );
     }
 
     #[test]

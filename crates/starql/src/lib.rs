@@ -46,7 +46,7 @@ pub mod translate;
 
 pub use ast::StarQlQuery;
 pub use engine::{ContinuousQuery, TickOutput};
-pub use having::HavingFormula;
+pub use having::{HavingFormula, HavingPlan};
 pub use parser::{parse_starql, FIGURE1};
-pub use sequence::{IcPolicy, StreamToRdf};
+pub use sequence::{IcPolicy, StateMemo, StreamToRdf};
 pub use translate::{translate, TranslatedQuery, TranslationContext};

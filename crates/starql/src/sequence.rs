@@ -9,10 +9,22 @@
 //! by time. Functionality constraints from the ontology are checked per
 //! state: a sensor reporting two different values at one instant violates
 //! `funct(hasValue)`.
+//!
+//! A state depends only on the rows at its instant, so consecutive windows
+//! of one query — and the windows of every query on the same stream —
+//! rebuild the same states over and over. [`StateMemo`] keeps each built,
+//! checked and enriched state once, as a shared `Arc`, keyed by instant and
+//! validated against the exact rows it was built from: a late row, a
+//! key-restricted window or a different overlay epoch presents different
+//! rows and gets its own entry. [`build_stdseq`] is the memo-free reference
+//! construction.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-use optique_ontology::materialize::{check_constraints, Violation};
+use optique_ontology::materialize::{check_constraints, materialize, Violation};
 use optique_ontology::Ontology;
 use optique_rdf::{Datatype, Graph, Iri, Term, Triple};
 use optique_relational::{Schema, Value};
@@ -92,11 +104,12 @@ pub struct State {
 }
 
 /// A time-ordered sequence of states (the denotation of `SEQUENCE BY StdSeq`
-/// for one window).
+/// for one window). States are shared: consecutive windows and co-registered
+/// queries hold the same `Arc`s out of a [`StateMemo`].
 #[derive(Clone, Debug, Default)]
 pub struct StateSequence {
     /// States in ascending timestamp order.
-    pub states: Vec<State>,
+    pub states: Vec<Arc<State>>,
 }
 
 impl StateSequence {
@@ -163,6 +176,52 @@ pub fn build_stdseq(
     ontology: Option<&Ontology>,
     policy: IcPolicy,
 ) -> Result<(StateSequence, usize), SequenceError> {
+    assemble(rows, schema, mapping, policy, |timestamp, group| {
+        build_state(timestamp, group, schema, mapping, ontology, false)
+    })
+}
+
+/// The state of one instant's rows: its graph, or the constraint
+/// violations that rule it out. Enrichment saturates only kept states.
+#[derive(Clone, Debug)]
+enum Built {
+    Kept(Arc<State>),
+    Violates(Vec<Violation>),
+}
+
+fn build_state(
+    timestamp: i64,
+    group: &[&Vec<Value>],
+    schema: &Schema,
+    mapping: &StreamToRdf,
+    ontology: Option<&Ontology>,
+    enrich: bool,
+) -> Built {
+    let mut graph = Graph::new();
+    for row in group {
+        graph.extend(mapping.tuple_triples(row, schema));
+    }
+    if let Some(onto) = ontology {
+        let violations = check_constraints(&graph, onto);
+        if !violations.is_empty() {
+            return Built::Violates(violations);
+        }
+        if enrich {
+            materialize(&mut graph, onto, 0);
+        }
+    }
+    Built::Kept(Arc::new(State { timestamp, graph }))
+}
+
+/// Groups rows by instant, gets each group's state from `state_of`, and
+/// applies the integrity policy in time order.
+fn assemble(
+    rows: &[Vec<Value>],
+    schema: &Schema,
+    mapping: &StreamToRdf,
+    policy: IcPolicy,
+    mut state_of: impl FnMut(i64, &[&Vec<Value>]) -> Built,
+) -> Result<(StateSequence, usize), SequenceError> {
     let Some(ts_idx) = schema.index_of(&mapping.timestamp_col) else {
         return Ok((StateSequence::default(), 0));
     };
@@ -175,30 +234,177 @@ pub fn build_stdseq(
     let mut states = Vec::with_capacity(by_time.len());
     let mut dropped = 0usize;
     for (timestamp, group) in by_time {
-        let mut graph = Graph::new();
-        for row in group {
-            graph.extend(mapping.tuple_triples(row, schema));
-        }
-        if let Some(onto) = ontology {
-            let violations = check_constraints(&graph, onto);
-            if !violations.is_empty() {
-                match policy {
-                    IcPolicy::Strict => {
-                        return Err(SequenceError::IntegrityViolation {
-                            timestamp,
-                            violations,
-                        })
-                    }
-                    IcPolicy::DropViolating => {
-                        dropped += 1;
-                        continue;
-                    }
+        match state_of(timestamp, &group) {
+            Built::Kept(state) => states.push(state),
+            Built::Violates(violations) => match policy {
+                IcPolicy::Strict => {
+                    return Err(SequenceError::IntegrityViolation {
+                        timestamp,
+                        violations,
+                    })
                 }
-            }
+                IcPolicy::DropViolating => dropped += 1,
+            },
         }
-        states.push(State { timestamp, graph });
     }
     Ok((StateSequence { states }, dropped))
+}
+
+/// Built per-instant states shared across windows and queries (see the
+/// module docs). Entries live per stream and per *state configuration* —
+/// a fingerprint of the stream mapping, the TBox and whether states are
+/// enriched ([`state_config`]) — so only queries that would build
+/// identical states share them. The owner bounds the memo with
+/// [`StateMemo::retire`].
+#[derive(Default)]
+pub struct StateMemo {
+    streams: Mutex<HashMap<String, StreamStates>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// One stream's memo: `(config, instant)` → the states built from each
+/// distinct row set seen at that instant.
+type StreamStates = HashMap<(u64, i64), Vec<MemoEntry>>;
+
+struct MemoEntry {
+    /// The rows the state was built from, in the order first seen.
+    rows: Vec<Vec<Value>>,
+    built: Built,
+}
+
+impl MemoEntry {
+    fn built_from(&self, group: &[&Vec<Value>]) -> bool {
+        if self.rows.len() != group.len() {
+            return false;
+        }
+        if self.rows.iter().zip(group).all(|(a, b)| a == *b) {
+            return true;
+        }
+        // The same rows in another order (a scatter round gathers shards
+        // in shard order) build the same state.
+        let mut mine: Vec<&Vec<Value>> = self.rows.iter().collect();
+        let mut theirs = group.to_vec();
+        mine.sort();
+        theirs.sort();
+        mine == theirs
+    }
+}
+
+/// Fingerprint of everything a state depends on besides its rows: the
+/// stream, its mapping, the TBox and the enrichment switch.
+pub fn state_config(stream: &str, mapping: &StreamToRdf, ontology: &Ontology, enrich: bool) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    stream.hash(&mut h);
+    format!("{mapping:?}").hash(&mut h);
+    ontology.axioms().hash(&mut h);
+    for property in ontology.data_properties() {
+        property.hash(&mut h);
+    }
+    enrich.hash(&mut h);
+    h.finish()
+}
+
+impl StateMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        StateMemo::default()
+    }
+
+    /// The standard sequence of `rows` — [`build_stdseq`] followed by
+    /// enrichment of every kept state when `enrich` is set — with each
+    /// instant's state taken from the memo when the same rows built it
+    /// before. `config` must be [`state_config`] of this stream, mapping,
+    /// ontology and `enrich`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sequence(
+        &self,
+        stream: &str,
+        config: u64,
+        rows: &[Vec<Value>],
+        schema: &Schema,
+        mapping: &StreamToRdf,
+        ontology: &Ontology,
+        policy: IcPolicy,
+        enrich: bool,
+    ) -> Result<(StateSequence, usize), SequenceError> {
+        assemble(rows, schema, mapping, policy, |timestamp, group| {
+            let key = (config, timestamp);
+            {
+                let streams = self.streams.lock().expect("state memo poisoned");
+                let hit = streams
+                    .get(stream)
+                    .and_then(|states| states.get(&key))
+                    .and_then(|entries| entries.iter().find(|e| e.built_from(group)));
+                if let Some(entry) = hit {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return entry.built.clone();
+                }
+            }
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let built = build_state(timestamp, group, schema, mapping, Some(ontology), enrich);
+            let mut streams = self.streams.lock().expect("state memo poisoned");
+            let entries = streams
+                .entry(stream.to_string())
+                .or_default()
+                .entry(key)
+                .or_default();
+            if !entries.iter().any(|e| e.built_from(group)) {
+                entries.push(MemoEntry {
+                    rows: group.iter().map(|row| (*row).clone()).collect(),
+                    built: built.clone(),
+                });
+            }
+            built
+        })
+    }
+
+    /// Drops every state of `stream` at or before `through_ms` — instants
+    /// no registered query's future windows can contain.
+    pub fn retire(&self, stream: &str, through_ms: i64) {
+        let mut streams = self.streams.lock().expect("state memo poisoned");
+        if let Some(states) = streams.get_mut(stream) {
+            states.retain(|&(_, ts), _| ts > through_ms);
+        }
+    }
+
+    /// Memoized states across all streams.
+    pub fn len(&self) -> usize {
+        self.streams
+            .lock()
+            .expect("state memo poisoned")
+            .values()
+            .flat_map(|states| states.values())
+            .map(Vec::len)
+            .sum()
+    }
+
+    /// True when nothing is memoized.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// States answered from the memo so far.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// States built so far.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+}
+
+impl std::fmt::Debug for StateMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "StateMemo({} states, {} hits, {} misses)",
+            self.len(),
+            self.hits(),
+            self.misses()
+        )
+    }
 }
 
 #[cfg(test)]

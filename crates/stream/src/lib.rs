@@ -11,9 +11,9 @@
 //! * [`WindowSpec`] + [`time_sliding_window`] — the paper's
 //!   `timeSlidingWindow` UDF: stream-to-relation conversion tagging every
 //!   tuple with the ids of the sliding windows containing it,
-//! * [`WCache`] — the paper's `wCache` UDF: a shared window-id-keyed cache
-//!   "answering efficiently equality constraints on the time column" for
-//!   many concurrent queries,
+//! * [`WCache`] — the paper's `wCache` UDF: a shared cache of windows keyed
+//!   by their time bounds, "answering efficiently equality constraints on
+//!   the time column" for many concurrent queries,
 //! * [`r2s`] — the relation-to-stream operators (`IStream`, `DStream`,
 //!   `RStream`),
 //! * [`Pulse`] — the STARQL `USING PULSE` clock that aligns window closes
@@ -32,5 +32,5 @@ pub use pulse::Pulse;
 pub use r2s::{dstream, istream, rstream, StreamDiffer};
 pub use registry::register_stream_functions;
 pub use stream::Stream;
-pub use wcache::WCache;
+pub use wcache::{WCache, WindowKey};
 pub use window::{time_sliding_window, WindowSpec};

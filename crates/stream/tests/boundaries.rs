@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use optique_relational::{Column, ColumnType, Schema, Table, Value};
 use optique_stream::r2s::StreamDiffer;
-use optique_stream::wcache::WCache;
+use optique_stream::wcache::{WCache, WindowKey};
 use optique_stream::{time_sliding_window, Pulse, Stream, WindowSpec};
 
 fn stream_with_times(times: &[i64]) -> Stream {
@@ -99,7 +99,9 @@ fn out_of_order_ticks_are_idempotent_over_the_cache() {
     let materialize = |tick: i64| -> Arc<Vec<Vec<Value>>> {
         let id = w.last_closed(600_000, tick).unwrap();
         let (open, close) = w.bounds(600_000, id);
-        cache.get_or_build("s", id, || s.slice(open, close).to_vec())
+        cache.get_or_build(&WindowKey::new("s", open, close), || {
+            s.slice(open, close).to_vec()
+        })
     };
     let forward = materialize(602_000);
     let _ = materialize(603_000);
@@ -137,22 +139,31 @@ fn wcache_variants_keep_restricted_windows_apart() {
     let cache = WCache::new();
     let full = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
     let restricted = vec![vec![Value::Int(1)]];
-    cache.insert("s", 7, "", full.clone());
-    cache.insert("s", 7, "⋉[Int(1)]", restricted.clone());
+    let window = WindowKey::new("s", 6_000, 7_000);
+    cache.insert(window.clone(), full.clone());
+    cache.insert(window.clone().restricted("⋉[Int(1)]"), restricted.clone());
     assert_eq!(cache.len(), 2, "variants are distinct entries");
-    assert_eq!(*cache.lookup("s", 7, "").unwrap(), full);
-    assert_eq!(*cache.lookup("s", 7, "⋉[Int(1)]").unwrap(), restricted);
-    assert!(cache.lookup("s", 7, "⋉[Int(2)]").is_none());
+    assert_eq!(*cache.lookup(&window).unwrap(), full);
+    assert_eq!(
+        *cache
+            .lookup(&window.clone().restricted("⋉[Int(1)]"))
+            .unwrap(),
+        restricted
+    );
+    assert!(cache
+        .lookup(&window.clone().restricted("⋉[Int(2)]"))
+        .is_none());
     // Eviction by watermark drops every variant of the window.
-    cache.evict_below("s", 8);
+    cache.retire("s", window.close_ms, 0);
     assert!(cache.is_empty());
 }
 
 #[test]
 fn wcache_insert_race_keeps_first() {
     let cache = WCache::new();
-    let first = cache.insert("s", 1, "", vec![vec![Value::Int(1)]]);
-    let second = cache.insert("s", 1, "", vec![vec![Value::Int(1)]]);
+    let window = WindowKey::new("s", 0, 1_000);
+    let first = cache.insert(window.clone(), vec![vec![Value::Int(1)]]);
+    let second = cache.insert(window, vec![vec![Value::Int(1)]]);
     assert!(
         Arc::ptr_eq(&first, &second),
         "first insert wins, later share"

@@ -19,7 +19,10 @@ mod common;
 
 use common::proptest_cases;
 use common::streaming::{self, StreamingCase};
+use optique::OptiquePlatform;
 use optique_rdf::Triple;
+use optique_siemens::catalog::TaskQuery;
+use optique_siemens::{diagnostic_tasks, SiemensDeployment};
 use optique_starql::TickOutput;
 use proptest::prelude::*;
 
@@ -84,6 +87,55 @@ fn assert_streaming_equivalent(case: &StreamingCase) {
                 expected,
                 "{workers}-worker tick {instant} diverged for\n{}",
                 case.text
+            );
+        }
+    }
+}
+
+/// One tick's comparable slice ([`output_stream`]).
+type TickStream = (u64, usize, usize, Vec<String>);
+
+/// Output streams of `texts` registered together on one platform from
+/// `make` (`workers: None` = single-node), ticked at `instants`: one
+/// stream per text, in text order.
+fn co_registered_streams(
+    make: &dyn Fn() -> OptiquePlatform,
+    texts: &[String],
+    workers: Option<usize>,
+    instants: &[i64],
+) -> Vec<Vec<TickStream>> {
+    let p = make();
+    for text in texts {
+        match workers {
+            Some(w) => p.register_starql_distributed(text, w),
+            None => p.register_starql(text),
+        }
+        .unwrap_or_else(|e| panic!("registration failed for\n{text}\n{e}"));
+    }
+    let mut streams = vec![Vec::new(); texts.len()];
+    for &instant in instants {
+        let outputs = p.tick_all(instant).unwrap();
+        for (stream, (_, tick)) in streams.iter_mut().zip(&outputs) {
+            stream.push(output_stream(tick));
+        }
+    }
+    streams
+}
+
+/// The isolation oracle: every query's output stream with all `texts`
+/// registered on one platform equals its stream registered alone, at
+/// single-node and 2/4 workers. Co-registered queries share the window
+/// cache and the state memo, so a sharing key that confuses two windows
+/// (or two states) shows up here as one query answering over another's
+/// window.
+fn assert_isolated(make: &dyn Fn() -> OptiquePlatform, texts: &[String], instants: &[i64]) {
+    for workers in [None, Some(2), Some(4)] {
+        let together = co_registered_streams(make, texts, workers, instants);
+        for (text, shared) in texts.iter().zip(&together) {
+            let alone = co_registered_streams(make, std::slice::from_ref(text), workers, instants);
+            assert_eq!(
+                shared, &alone[0],
+                "{workers:?} workers: co-registration changed the output of\n{text}"
             );
         }
     }
@@ -240,6 +292,27 @@ mod streaming_equivalence {
         );
     }
 
+    // ---- co-registration isolation ---------------------------------------
+
+    /// Every STARQL task of the catalog — windows of 10 s, 30 s and 1 min
+    /// on 1 s and 5 s slides — answers the same alone as with the whole
+    /// catalog registered beside it.
+    #[test]
+    fn co_registered_catalog_tasks_match_isolated_runs() {
+        let texts: Vec<String> = diagnostic_tasks()
+            .into_iter()
+            .filter_map(|t| match t.query {
+                TaskQuery::StarQl(text) => Some(text),
+                TaskQuery::SqlPlus(_) => None,
+            })
+            .collect();
+        let config = SiemensDeployment::small().stream_config;
+        let (start, end) = (config.start_ms, config.start_ms + config.duration_ms);
+        let make = || OptiquePlatform::from_siemens(SiemensDeployment::small());
+        let instants: Vec<i64> = (start..=end).step_by(1_000).collect();
+        assert_isolated(&make, &texts, &instants);
+    }
+
     // ---- generated suite -----------------------------------------------
 
     proptest! {
@@ -250,6 +323,20 @@ mod streaming_equivalence {
         #[test]
         fn generated_programs_are_equivalent(case in streaming::case_strategy()) {
             assert_streaming_equivalent(&case);
+        }
+
+        /// Generated programs of different shapes and window geometries on
+        /// one generated stream: each answers the same alone as with the
+        /// others registered beside it.
+        #[test]
+        fn co_registered_programs_match_isolated_runs(
+            cases in proptest::collection::vec(streaming::case_strategy(), 2..4),
+        ) {
+            let rows = cases[0].rows.clone();
+            let texts: Vec<String> = cases.into_iter().map(|c| c.text).collect();
+            let make = || streaming::deployment(rows.clone());
+            let instants: Vec<i64> = tick_instants().collect();
+            assert_isolated(&make, &texts, &instants);
         }
     }
 }
